@@ -86,14 +86,20 @@ class CompatibilityPolicy:
     high_speed_hz: float = 100e6
 
     def is_compatible(self, cores: Sequence[AnalogCore]) -> bool:
-        """Whether *cores* may share one wrapper under this policy."""
-        if not cores:
-            raise ValueError("at least one core is required")
-        if len(cores) == 1:
-            return True
+        """Whether *cores* may share one wrapper under this policy.
+
+        :raises ValueError: if *cores* is empty.
+        """
         resolution, speed, _ = wrapper_requirements(cores)
+        return self._compatible(cores, resolution, speed)
+
+    def _compatible(
+        self, cores: Sequence[AnalogCore], resolution: int, speed: float
+    ) -> bool:
+        """:meth:`is_compatible` given the joint requirements."""
         if (
-            resolution < self.high_resolution_bits
+            len(cores) == 1
+            or resolution < self.high_resolution_bits
             or speed < self.high_speed_hz
         ):
             return True
@@ -112,13 +118,13 @@ class CompatibilityPolicy:
 
         :raises ValueError: if the group is incompatible.
         """
-        if not self.is_compatible(cores):
+        resolution, speed, width = wrapper_requirements(cores)
+        if not self._compatible(cores, resolution, speed):
             names = ",".join(core.name for core in cores)
             raise ValueError(
                 f"cores {{{names}}} are speed/resolution incompatible "
                 f"under {self}"
             )
-        resolution, speed, width = wrapper_requirements(cores)
         return wrapper_area_mm2(resolution, speed, width)
 
 

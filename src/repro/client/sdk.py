@@ -35,8 +35,16 @@ class JobTicket:
     coalesced: bool
 
 
+def _job_id(job: str | JobTicket) -> str:
+    return job.job_id if isinstance(job, JobTicket) else job
+
+
 class ReproClient:
-    """High-level client for one repro server."""
+    """High-level client for one repro server.
+
+    The job verbs take a job id or the :class:`JobTicket` that
+    :meth:`submit` returned.
+    """
 
     def __init__(
         self,
@@ -100,14 +108,14 @@ class ReproClient:
         merged["scenario"] = scenario_text
         return self.submit(kind, merged)
 
-    def status(self, job_id: str) -> dict:
-        return self.session.request("GET", f"/status/{job_id}").body
+    def status(self, job: str | JobTicket) -> dict:
+        return self.session.request("GET", f"/status/{_job_id(job)}").body
 
-    def result(self, job_id: str) -> dict:
-        return self.session.request("GET", f"/result/{job_id}").body
+    def result(self, job: str | JobTicket) -> dict:
+        return self.session.request("GET", f"/result/{_job_id(job)}").body
 
-    def trace(self, job_id: str) -> list[dict]:
-        body = self.session.request("GET", f"/trace/{job_id}").body
+    def trace(self, job: str | JobTicket) -> list[dict]:
+        body = self.session.request("GET", f"/trace/{_job_id(job)}").body
         return body.get("trace", [])
 
     def healthz(self) -> dict:
@@ -120,7 +128,7 @@ class ReproClient:
 
     def wait_result(
         self,
-        job_id: str,
+        job: str | JobTicket,
         *,
         deadline_s: float = 300.0,
         interval_s: float = 0.5,
@@ -133,11 +141,13 @@ class ReproClient:
         answered by resubmitting once — the content-hash key makes
         that safe.
 
+        :param job: a job id, or the :class:`JobTicket` of a submission.
         :raises DeadlineExceeded: not done within *deadline_s* (the
             job keeps running server-side; poll again later).
         :raises RequestFailed: the job failed server-side, carrying
             the server's error string.
         """
+        job_id = _job_id(job)
         deadline = self._clock() + deadline_s
         resubmitted = False
         while True:

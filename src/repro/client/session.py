@@ -10,8 +10,10 @@ drain), that wait wins over the computed backoff — the server knows
 its own queue better than any client-side curve.
 
 Retryable: connection errors, timeouts, 408/429/5xx.  Everything else
-(400, 404, 405) is the caller's bug and raises immediately.  The sleep
-function is injectable so tests run the whole schedule in microseconds.
+(400, 404, 405) is the caller's bug and raises immediately, as does a
+request that fails before it is sent (an invalid URL, say): no retry
+can fix it.  The sleep function is injectable so tests run the whole
+schedule in microseconds.
 """
 
 from __future__ import annotations
@@ -95,8 +97,9 @@ class RetrySession:
                 payload: dict | None = None) -> HttpResponse:
         """One logical request, retried per the schedule.
 
-        :raises RequestFailed: non-retryable status, or every attempt
-            failed (the last failure is attached).
+        :raises RequestFailed: non-retryable status, a request that
+            cannot be sent, or every attempt failed (the last failure
+            is attached).
         """
         last_error: str = "no attempts made"
         last_status: int | None = None
@@ -104,6 +107,12 @@ class RetrySession:
         for attempt in range(1, self.max_attempts + 1):
             try:
                 response = self._one_request(method, path, payload)
+            except http.client.InvalidURL as exc:
+                # raised before anything is sent: the caller's bug
+                raise RequestFailed(
+                    f"invalid request {method} {path!r}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
             except (OSError, http.client.HTTPException) as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
                 last_status = None

@@ -59,7 +59,7 @@ DEFAULT_BETA = 0.5
 ROUTING_PER_EXTRA_CORE = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class AreaModel:
     """Area cost :math:`C_A` for sharing combinations of *cores*.
 
@@ -74,6 +74,25 @@ class AreaModel:
         groups raise from :meth:`group_area_mm2`.
     :param reference_distance: distance at which the positional beta
         saturates to 1.
+
+    The model is frozen, and so are the cores and the policy, so every
+    quantity derived from them is fixed for the model's lifetime.  That
+    makes :meth:`area_cost` — answered on nearly every evaluation of a
+    gated search — a sum of lookups in tables built
+
+    * at construction: the name index, the sorted names the cover
+      check compares against, each core's private-wrapper area
+      (:meth:`core_area_mm2`) and their sum,
+      :attr:`no_sharing_area_mm2`;
+    * on first use of a group: :meth:`group_cost_mm2`, memoized by
+      ``tuple(group)`` in the order given.  The key keeps member order
+      because the positional beta sums pairwise distances in that
+      order, so two orders of one group may differ in the last bit.
+
+    Every lookup returns the very float the direct computation would,
+    so a memoized model and a fresh one agree exactly.  A group that
+    raises (an incompatible or unknown core) stores nothing and raises
+    again on every call.
     """
 
     cores: Sequence[AnalogCore]
@@ -98,9 +117,20 @@ class AreaModel:
                 f"reference_distance must be positive, got "
                 f"{self.reference_distance}"
             )
-        self._by_name = {core.name: core for core in self.cores}
-        if len(self._by_name) != len(self.cores):
+        by_name = {core.name: core for core in self.cores}
+        if len(by_name) != len(self.cores):
             raise ValueError("core names must be unique")
+        core_areas = {
+            name: self.policy.area_mm2([core])
+            for name, core in by_name.items()
+        }
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_names", sorted(by_name))
+        object.__setattr__(self, "_core_areas", core_areas)
+        object.__setattr__(self, "_no_sharing_area", sum(
+            core_areas[core.name] for core in self.cores
+        ))
+        object.__setattr__(self, "_group_costs", {})
 
     def core(self, name: str) -> AnalogCore:
         """Look up a core by name.
@@ -113,13 +143,19 @@ class AreaModel:
             raise KeyError(f"unknown analog core {name!r}") from None
 
     def core_area_mm2(self, name: str) -> float:
-        """Private-wrapper area of one core (mm^2)."""
-        return self.policy.area_mm2([self.core(name)])
+        """Private-wrapper area of one core (mm^2).
+
+        :raises KeyError: if unknown.
+        """
+        try:
+            return self._core_areas[name]
+        except KeyError:
+            raise KeyError(f"unknown analog core {name!r}") from None
 
     @property
     def no_sharing_area_mm2(self) -> float:
         """Total wrapper area with one private wrapper per core."""
-        return sum(self.core_area_mm2(core.name) for core in self.cores)
+        return self._no_sharing_area
 
     def group_beta(self, group: Sequence[str]) -> float:
         """Routing proximity factor for one wrapper group."""
@@ -156,8 +192,13 @@ class AreaModel:
 
     def group_cost_mm2(self, group: Sequence[str]) -> float:
         """Area including the routing overhead factor ``1 + R/100``."""
-        r = self.routing_overhead_percent(group)
-        return (1.0 + r / 100.0) * self.group_area_mm2(group)
+        key = tuple(group)
+        cost = self._group_costs.get(key)
+        if cost is None:
+            r = self.routing_overhead_percent(group)
+            cost = (1.0 + r / 100.0) * self.group_area_mm2(group)
+            self._group_costs[key] = cost
+        return cost
 
     def area_cost(self, partition: Partition) -> float:
         """The Eq. (1) cost :math:`C_A` of *partition* on the 0..100 scale.
@@ -169,13 +210,12 @@ class AreaModel:
         to discard.
         """
         covered = sorted(name for group in partition for name in group)
-        expected = sorted(self._by_name)
-        if covered != expected:
+        if covered != self._names:
             raise ValueError(
-                f"partition {partition} does not cover cores {expected}"
+                f"partition {partition} does not cover cores {self._names}"
             )
         total = sum(self.group_cost_mm2(group) for group in partition)
-        return 100.0 * total / self.no_sharing_area_mm2
+        return 100.0 * total / self._no_sharing_area
 
     def savings_cost(self, partition: Partition) -> float:
         """Alternative reading: normalized area *savings* (0..100).
@@ -184,10 +224,8 @@ class AreaModel:
         savings.  Included because Table 1's printed values are more
         consistent with a savings-style normalization; see DESIGN.md.
         """
-        from .sharing import all_sharing
-
-        names = sorted(self._by_name)
-        baseline = self.no_sharing_area_mm2
+        names = self._names
+        baseline = self._no_sharing_area
         best = baseline - sum(
             self.group_cost_mm2(group) for group in (tuple(names),)
         )

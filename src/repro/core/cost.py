@@ -44,7 +44,7 @@ from ..tam.packing import PackContext, PackStats, pack
 from ..tam.schedule import Schedule
 from ..wrapper.pareto import ParetoCache
 from .area import AreaModel
-from .lower_bounds import normalized_lower_bound, true_lower_bound
+from .lower_bounds import normalized_lower_bound
 from .sharing import Partition, refines
 
 __all__ = ["CostWeights", "ScheduleEvaluator", "CostModel", "CostBreakdown"]
@@ -143,6 +143,10 @@ class ScheduleEvaluator:
         self._by_signature: dict[tuple[int, ...], list[Partition]] = {}
         self._partial: list[Partition] = []
         self._n_cores = len(soc.analog_cores)
+        # per-core serialized analog time, read by every gate call
+        self._cycles = {
+            core.name: core.total_cycles for core in soc.analog_cores
+        }
         self._context: PackContext | None = None
         self._invariant_bound: int | None = None
         #: number of actual packing runs performed (the paper's ``n``)
@@ -246,11 +250,23 @@ class ScheduleEvaluator:
         busiest-wrapper serialization bound (Section 3); no scheduling
         happens.  Not valid with ``include_self_test`` (BIST tasks add
         serialized wrapper time the core-level bound does not see).
+
+        Equals ``max(invariant_time_bound, true_lower_bound(cores,
+        partition))``; the per-core cycle table behind it is built
+        once, in the constructor, from the SOC's frozen cores.
+
+        :raises ValueError: if *partition* names an unknown core.
         """
-        return max(
-            self.invariant_time_bound,
-            true_lower_bound(self.soc.analog_cores, partition),
-        )
+        cycles = self._cycles
+        try:
+            busiest = max(
+                sum(cycles[name] for name in group) for group in partition
+            )
+        except KeyError as exc:
+            raise ValueError(
+                f"unknown analog core in group: {exc}"
+            ) from exc
+        return max(self.invariant_time_bound, busiest)
 
     def _pack(self, partition: Partition) -> Schedule:
         tasks = self._digital + analog_tasks(
@@ -424,6 +440,20 @@ class CostModel:
     :param area_model: Eq. (1) area model over the SOC's analog cores.
     :param evaluator: optional shared evaluator (lets several weight
         settings reuse one schedule cache, as Table 4 effectively does).
+
+    :meth:`cost_lower_bound` answers nearly every evaluation of a gated
+    search, so everything it needs about the SOC is looked up rather
+    than recomputed, and each lookup returns exactly what the direct
+    computation would:
+
+    * the evaluator's per-core cycle table (built with the evaluator)
+      and the area model's tables (see :class:`~repro.core.area.
+      AreaModel`) derive from frozen cores and a frozen area model;
+    * :attr:`all_share_makespan` is kept after its first evaluation.
+      The evaluator replaces a cached schedule only with a strictly
+      shorter one from a partition the cached one refines, and
+      all-sharing refines only itself (in any member order, which
+      yields the same task set and so the same makespan).
     """
 
     def __init__(
@@ -445,11 +475,19 @@ class CostModel:
         self._all_share: Partition = tuple(
             [tuple(sorted(core.name for core in soc.analog_cores))]
         )
+        self._all_share_makespan: int | None = None
 
     @property
     def all_share_makespan(self) -> int:
-        """Test time of the all-sharing combination (the normalizer)."""
-        return self.evaluator.makespan(self._all_share)
+        """Test time of the all-sharing combination (the normalizer).
+
+        Scheduled on first use, then kept (see the class docs).
+        """
+        if self._all_share_makespan is None:
+            self._all_share_makespan = self.evaluator.makespan(
+                self._all_share
+            )
+        return self._all_share_makespan
 
     def time_cost(self, partition: Partition) -> float:
         """:math:`C_T`: makespan normalized to all-sharing, 0..100."""

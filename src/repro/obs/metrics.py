@@ -29,6 +29,7 @@ all.
 
 from __future__ import annotations
 
+import threading
 import time
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
@@ -229,19 +230,24 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._collectors: list[Callable[["MetricsRegistry"], None]] = []
+        # guards the three stores' keys: creation, reset and the copy a
+        # snapshot takes (lookups of existing instruments stay lock-free)
+        self._lock = threading.Lock()
 
     def counter(self, name: str) -> Counter:
         """The counter named *name* (created on first use)."""
         instrument = self._counters.get(name)
         if instrument is None:
-            instrument = self._counters[name] = Counter()
+            with self._lock:
+                instrument = self._counters.setdefault(name, Counter())
         return instrument
 
     def gauge(self, name: str) -> Gauge:
         """The gauge named *name* (created on first use)."""
         instrument = self._gauges.get(name)
         if instrument is None:
-            instrument = self._gauges[name] = Gauge()
+            with self._lock:
+                instrument = self._gauges.setdefault(name, Gauge())
         return instrument
 
     def histogram(
@@ -255,7 +261,10 @@ class MetricsRegistry:
         """
         instrument = self._histograms.get(name)
         if instrument is None:
-            instrument = self._histograms[name] = Histogram(buckets)
+            with self._lock:
+                instrument = self._histograms.setdefault(
+                    name, Histogram(buckets)
+                )
         return instrument
 
     def register_collector(
@@ -265,16 +274,21 @@ class MetricsRegistry:
         self._collectors.append(collect)
 
     def snapshot(self) -> MetricsSnapshot:
-        """The current cumulative totals (collectors run first)."""
+        """The current cumulative totals (collectors run first).
+
+        Safe while other threads create instruments.
+        """
         for collect in self._collectors:
             collect(self)
+        with self._lock:
+            counters = list(self._counters.items())
+            gauges = list(self._gauges.items())
+            histograms = list(self._histograms.items())
         return MetricsSnapshot({
-            "counters": {
-                name: c.value for name, c in self._counters.items()
-            },
+            "counters": {name: c.value for name, c in counters},
             "gauges": {
                 name: [g.value, g.written_epoch]
-                for name, g in self._gauges.items()
+                for name, g in gauges
                 if g.written_epoch
             },
             "histograms": {
@@ -284,13 +298,14 @@ class MetricsRegistry:
                     "total": h.total,
                     "count": h.count,
                 }
-                for name, h in self._histograms.items()
+                for name, h in histograms
             },
         })
 
     def reset(self) -> None:
         """Drop every instrument and collector (tests, fork children)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
+        with self._lock:
+            self._counters.clear()
+            self._gauges.clear()
+            self._histograms.clear()
         self._collectors.clear()

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -83,7 +84,8 @@ class ObsState:
     """Everything one process knows about the active run."""
 
     __slots__ = ("run_dir", "registry", "pid", "context",
-                 "_events", "_events_path", "_rotate_bytes")
+                 "_events", "_events_path", "_rotate_bytes",
+                 "_flush_lock")
 
     def __init__(self, run_dir: Path):
         self.run_dir = Path(run_dir)
@@ -102,6 +104,9 @@ class ObsState:
             )
         except ValueError:
             self._rotate_bytes = SPOOL_ROTATE_BYTES
+        # one flush at a time: threads of a process share the temp
+        # file name and the event spool
+        self._flush_lock = threading.Lock()
 
     # -- events ---------------------------------------------------------
 
@@ -123,23 +128,27 @@ class ObsState:
 
     def flush(self) -> None:
         """Spool cumulative metrics + queued events to this process's
-        files.  Cheap when nothing changed; safe to call repeatedly."""
-        spool = self.run_dir / SPOOL_DIR
-        spool.mkdir(parents=True, exist_ok=True)
+        files.  Cheap when nothing changed; safe to call repeatedly,
+        from any thread (concurrent flushes take turns)."""
+        with self._flush_lock:
+            spool = self.run_dir / SPOOL_DIR
+            spool.mkdir(parents=True, exist_ok=True)
 
-        snap = self.registry.snapshot()
-        if not snap.empty:
-            path = spool / f"metrics-{self.pid}.json"
-            tmp = path.with_suffix(f".tmp-{self.pid}")
-            tmp.write_text(json.dumps(snap.to_dict(), sort_keys=True))
-            os.replace(tmp, path)
+            snap = self.registry.snapshot()
+            if not snap.empty:
+                path = spool / f"metrics-{self.pid}.json"
+                tmp = path.with_suffix(f".tmp-{self.pid}")
+                tmp.write_text(json.dumps(snap.to_dict(), sort_keys=True))
+                os.replace(tmp, path)
 
-        if self._events:
-            with self._events_path.open("a", encoding="utf-8") as fh:
-                for record in self._events:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-            self._events.clear()
-            self._maybe_rotate()
+            if self._events:
+                # swap first: events emitted while writing wait for the
+                # next flush instead of being cleared unwritten
+                events, self._events = self._events, []
+                with self._events_path.open("a", encoding="utf-8") as fh:
+                    for record in events:
+                        fh.write(json.dumps(record, sort_keys=True) + "\n")
+                self._maybe_rotate()
 
     def _maybe_rotate(self) -> None:
         """Roll the event spool once it crosses the size cap.

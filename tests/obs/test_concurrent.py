@@ -14,12 +14,14 @@ on disk):
 
 import json
 import multiprocessing
+import sys
 import threading
 
 import pytest
 
 from repro import obs
 from repro.obs import runtime
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import LiveRunView, SpoolCursor
 
 
@@ -117,6 +119,78 @@ class TestInterleavedWriterReader:
         # every observed total is one the writer actually published
         assert observed <= {float(s) for s in range(1, 30)}
         assert observed  # and the torn states did not blind the view
+
+
+class TestConcurrentFlush:
+    def test_threads_flushing_one_state_never_collide(self, run_dir):
+        """A server's periodic flush and its executor's per-job flush
+        share one state and one metrics file; neither may lose the
+        atomic replace to the other, a snapshot may not trip over a
+        counter another thread creates, and no event may drop."""
+        state = runtime.ObsState(run_dir)
+        errors = []
+        n_threads, n_flushes = 4, 500
+
+        def flusher(k):
+            try:
+                for i in range(n_flushes):
+                    state.registry.counter(f"flush.{k}").inc()
+                    state.registry.counter(f"new.{k}.{i % 50}").inc()
+                    state.emit("flush.mark", thread=k, i=i)
+                    state.flush()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=flusher, args=(k,))
+            for k in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        path = run_dir / "obs" / f"metrics-{state.pid}.json"
+        counters = json.loads(path.read_text())["counters"]
+        assert len(counters) == n_threads * (1 + 50)
+        assert all(
+            counters[f"flush.{k}"] == n_flushes for k in range(n_threads)
+        )
+        marks = [
+            e for e in obs.read_events(run_dir)
+            if e["event"] == "flush.mark"
+        ]
+        assert len(marks) == n_threads * n_flushes
+
+
+    def test_snapshot_while_another_thread_creates_counters(self):
+        registry = MetricsRegistry()
+        created = threading.Event()
+
+        def creator():
+            for i in range(50_000):
+                registry.counter(f"c.{i}")
+            created.set()
+
+        thread = threading.Thread(target=creator)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            while not created.is_set():
+                registry.snapshot()
+        finally:
+            created.wait(timeout=120)
+            sys.setswitchinterval(interval)
+            thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert len(registry.snapshot().counters) == 50_000
 
 
 def _spawn_worker(i):

@@ -23,10 +23,13 @@ from repro.search import (
     default_start_method,
     lane_slices,
     optimize,
+    portfolio_config,
     portfolio_search,
     registry,
     run_strategy,
 )
+
+from repro.workloads import build
 
 from .conftest import QUICK, quick_model
 
@@ -350,3 +353,15 @@ class TestMultiprocessPortfolio:
 
     def test_default_start_method_is_explicit(self):
         assert default_start_method() in ("fork", "spawn")
+
+
+class TestPortfolioConfig:
+    def test_bytes_unchanged_by_optimize(self):
+        """Worker model caches key on these bytes, so costing a SOC
+        must not change its pickle: no cache may hang on ``Soc`` or
+        ``AnalogCore`` instances."""
+        soc = build("big8m")
+        before = portfolio_config(soc, width=16, **QUICK)
+        optimize(soc, width=16, max_evaluations=60, seed=1, **QUICK)
+        assert portfolio_config(soc, width=16, **QUICK) == before
+        assert portfolio_config(build("big8m"), width=16, **QUICK) == before

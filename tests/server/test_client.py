@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import random
 
 import pytest
@@ -126,6 +127,27 @@ class TestRetryPolicy:
     def test_max_attempts_validated(self):
         with pytest.raises(ValueError):
             RetrySession(host="h", port=1, max_attempts=0)
+
+    def test_local_error_raises_immediately(self):
+        sess, transport, sleeps = session(
+            [http.client.InvalidURL("bad path"), ok()]
+        )
+        with pytest.raises(RequestFailed, match="InvalidURL") as exc_info:
+            sess.request("GET", "/status/bad path")
+        assert exc_info.value.status is None
+        assert len(transport.calls) == 1
+        assert sleeps == []
+
+    def test_unsendable_path_never_sleeps(self):
+        """A path http.client refuses fails before any connection is
+        made, with zero retries."""
+        sleeps = []
+        client = ReproClient(
+            host="127.0.0.1", port=1, sleep=sleeps.append, max_attempts=5
+        )
+        with pytest.raises(RequestFailed, match="InvalidURL"):
+            client.result("not a job id")
+        assert sleeps == []
 
 
 def client(script, **kwargs):

@@ -83,6 +83,15 @@ class TestRoundTrip:
             trace = client.trace(opt.job_id)
             assert trace and trace[0]["best_cost"] > 0
 
+    def test_job_verbs_accept_the_ticket(self, tmp_path):
+        with serving(tmp_path / "srv") as (_server, client):
+            ticket = client.submit("sweep", MINI)
+            body = client.wait_result(ticket, deadline_s=60)
+            assert body["ready"]
+            assert client.result(ticket) == client.result(ticket.job_id)
+            assert client.status(ticket)["state"] == "done"
+            assert client.trace(ticket) == client.trace(ticket.job_id)
+
     def test_status_json_lifecycle(self, tmp_path):
         from repro import obs
 
